@@ -83,7 +83,7 @@ def _engines(n: int) -> list:
     return [ContinuousBatchScheduler(
         CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH),
         max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET,
-        fast_forward="multi") for _ in range(n)]
+        fast_forward=True) for _ in range(n)]
 
 
 def _trace(rate: float = LOAD_RPS) -> list:

@@ -77,7 +77,7 @@ def _engines() -> list:
     return [ContinuousBatchScheduler(
         CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH),
         max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET,
-        fast_forward="multi") for _ in range(REPLICAS)]
+        fast_forward=True) for _ in range(REPLICAS)]
 
 
 def _trace() -> list:

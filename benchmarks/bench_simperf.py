@@ -22,14 +22,14 @@ kept in-tree for exactly this purpose (and for the bit-exactness tests):
   streamed summary sweep, and tracemalloc peak-heap rows showing the
   windowed footprint stays flat while decoded tokens double.
   ``SIMPERF_SWEEP=smoke`` scales the points down to the CI budget;
-* long decode — the PR 6 event-horizon tier (``fast_forward="multi"``)
-  vs the PR 5 single-segment tier on a retirement-dominated paged-KV
-  trace: bursts of 16 long decodes drained to empty before the next
-  burst lands.  The single tier fragments every burst into block-sized
-  windows (it cannot cross a block allocation or a retirement); the
-  multi tier folds both into segments of one window per burst, so the
-  recorded window count drops from O(requests) to O(admissions) and
-  the sweep runs >= 3x faster with bit-identical reports.
+* long decode — event-horizon fast-forward (``fast_forward=True``)
+  vs the eager step loop on a retirement-dominated paged-KV trace:
+  bursts of 16 long decodes drained to empty before the next burst
+  lands.  Fast-forward folds every block allocation and retirement
+  into segments of at most one window per burst, so the window count
+  is O(admissions) and the sweep runs several times faster than eager
+  with bit-identical reports.  The section records the commit, core
+  count, and Python version it was measured with.
 
 Results go to ``BENCH_simperf.json`` at the repo root (machine-readable
 trajectory for later PRs to diff) and ``benchmarks/results/simperf.txt``.
@@ -47,6 +47,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+import subprocess
 import time
 import tracemalloc
 
@@ -80,7 +82,7 @@ SWEEP_SCALE_MODE = os.environ.get("SIMPERF_SWEEP", "full")
 
 #: accumulated section results, written by bench_write_record (last in
 #: file, so pytest runs it after every measuring bench).
-RECORD: dict = {"schema": "simperf-v4", "sections": {}}
+RECORD: dict = {"schema": "simperf-v5", "sections": {}}
 
 
 def _model(config=SMALL_MODEL) -> QuantizedModel:
@@ -481,8 +483,7 @@ def _long_decode_trace(n_requests: int) -> list:
     together, fully drained before the next burst lands.  Fourteen
     lanes run 48 new tokens, two run 56, so every burst retires at two
     predicted LENGTH horizons and crosses six block frontiers per
-    sequence — exactly the events the single-segment tier must break a
-    window at and the event-horizon tier folds."""
+    sequence — exactly the events the event-horizon window folds."""
     rng = np.random.default_rng(11)
     prompts = rng.integers(1, TINY_MODEL.vocab_size - 1,
                            size=(n_requests, 3))
@@ -493,14 +494,14 @@ def _long_decode_trace(n_requests: int) -> list:
             for i in range(n_requests)]
 
 
-def _long_decode_run(trace, tier: str) -> tuple[dict, object]:
+def _long_decode_run(trace, fast_forward: bool) -> tuple[dict, object]:
     backend = CycleModelBackend(TINY_MODEL, QUANT,
                                 n_slots=LONG_DECODE_BURST,
                                 kv_mode="paged", block_size=8,
                                 n_kv_blocks=LONG_DECODE_BURST * 8)
     engine = ContinuousBatchScheduler(backend,
                                       max_batch=LONG_DECODE_BURST,
-                                      fast_forward=tier)
+                                      fast_forward=fast_forward)
     start = time.perf_counter()
     report = engine.run(trace, max_steps=1_000_000_000,
                         telemetry="summary")
@@ -509,25 +510,39 @@ def _long_decode_run(trace, tier: str) -> tuple[dict, object]:
             "window_stats": report.window_stats}, report
 
 
+def _provenance() -> dict:
+    """Where a section was measured: commit (``-dirty`` when the tree
+    has uncommitted changes), core count, and Python version."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, timeout=5,
+                             cwd=REPO_ROOT)
+        commit = out.stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {"commit": commit, "nproc": os.cpu_count(),
+            "python": platform.python_version()}
+
+
 def bench_long_decode(save_result):
-    """PR 6 event-horizon tier vs the PR 5 single-segment tier on a
+    """Event-horizon fast-forward vs the eager step loop on a
     long-decode paged-KV sweep (100k requests; smoke scales down)."""
     smoke = SWEEP_SCALE_MODE == "smoke"
     n = 8_000 if smoke else 100_000
     trace = _long_decode_trace(n)
 
-    single, single_report = _long_decode_run(trace, "single")
-    multi, multi_report = _long_decode_run(trace, "multi")
+    eager, eager_report = _long_decode_run(trace, False)
+    multi, multi_report = _long_decode_run(trace, True)
 
-    # Bit-identical observables — the tiers differ only in wall clock.
-    assert single_report.n_steps == multi_report.n_steps
-    assert single_report.total_time_s == multi_report.total_time_s
-    assert single_report.total_new_tokens \
+    # Bit-identical observables — the paths differ only in wall clock.
+    assert eager_report.n_steps == multi_report.n_steps
+    assert eager_report.total_time_s == multi_report.total_time_s
+    assert eager_report.total_new_tokens \
         == multi_report.total_new_tokens
     for p in (50.0, 99.0):
-        assert single_report.latency_percentile_s(p) \
+        assert eager_report.latency_percentile_s(p) \
             == multi_report.latency_percentile_s(p)
-        assert single_report.ttft_percentile_s(p) \
+        assert eager_report.ttft_percentile_s(p) \
             == multi_report.ttft_percentile_s(p)
 
     section = {
@@ -536,41 +551,34 @@ def bench_long_decode(save_result):
         "kv_mode": "paged",
         "n_requests": n,
         "n_steps": multi["n_steps"],
-        "single_wall_s": single["wall_s"],
+        "eager_wall_s": eager["wall_s"],
         "multi_wall_s": multi["wall_s"],
-        "speedup": round(single["wall_s"] / multi["wall_s"], 2),
-        "single_windows": single["window_stats"]["n_windows"],
+        "speedup": round(eager["wall_s"] / multi["wall_s"], 2),
         "multi_windows": multi["window_stats"]["n_windows"],
         "multi_segments": multi["window_stats"]["n_segments"],
         "folded_retirements":
             multi["window_stats"]["folded_retirements"],
-        "single_breaks": {k: v for k, v
-                          in single["window_stats"]["breaks"].items()
-                          if v},
         "multi_breaks": {k: v for k, v
                          in multi["window_stats"]["breaks"].items()
                          if v},
+        "provenance": _provenance(),
     }
     RECORD["sections"]["long_decode"] = section
 
-    # CI floors.  The single tier breaks at every block frontier and
-    # retirement horizon (O(requests) windows); the multi tier folds
-    # both, leaving one window per burst admission.
-    stats_s = single["window_stats"]
+    # CI floors.  Fast-forward folds every block frontier and
+    # retirement horizon, leaving at most one window per burst.
     stats_m = multi["window_stats"]
-    assert stats_m["n_windows"] * 4 <= stats_s["n_windows"], section
+    assert stats_m["n_windows"] <= n // LONG_DECODE_BURST, section
     assert stats_m["folded_retirements"] == n, section
-    assert stats_s["folded_retirements"] == 0, section
-    assert stats_s["breaks"]["block-frontier"] > 0, section
-    assert stats_s["breaks"]["retirement-unpredicted"] > 0, section
     assert stats_m["breaks"]["block-frontier"] == 0, section
     assert stats_m["breaks"]["retirement-unpredicted"] == 0, section
     if smoke:
-        assert section["speedup"] >= 2.0, section
+        # Measured 5.75-5.92x on a 2-core host; the floor keeps ~60%.
+        assert section["speedup"] >= 3.5, section
     else:
-        # Acceptance: >= 3x over the PR 5 path at 100k requests
-        # (recorded ~3.6x; the floor leaves shared-runner margin).
-        assert section["speedup"] >= 3.0, section
+        # Recorded 5.85x on a 2-core host; the floor keeps the 3.0/3.39
+        # margin of the previous record: 5.85 * 0.885.
+        assert section["speedup"] >= 5.18, section
     save_result("simperf_long_decode", json.dumps(section, indent=2))
 
 
@@ -644,10 +652,10 @@ def bench_write_record(save_result):
     ld = sections["long_decode"]
     lines.append(
         f"  long-decode {ld['n_requests']:,}-request paged sweep: "
-        f"single {ld['single_wall_s']:.2f} s / {ld['single_windows']:,} "
-        f"windows -> multi {ld['multi_wall_s']:.2f} s / "
-        f"{ld['multi_windows']:,} windows ({ld['speedup']:.1f}x, "
-        f"{ld['folded_retirements']:,} folded retirements)")
+        f"eager {ld['eager_wall_s']:.2f} s -> fast-forward "
+        f"{ld['multi_wall_s']:.2f} s / {ld['multi_windows']:,} windows "
+        f"({ld['speedup']:.1f}x, {ld['folded_retirements']:,} folded "
+        "retirements)")
     save_result("simperf", "\n".join(lines))
 
     # Mirror the headline numbers into the diffable run store, so
@@ -667,7 +675,7 @@ def bench_write_record(save_result):
             ws["windows"]["peak_rss_mb"],
         "windows_scale.rss_ratio_vs_summary": ws["windows_rss_ratio"],
         "windows_scale.sketch_peak_rss_mb": ws["sketch"]["peak_rss_mb"],
-        "long_decode.speedup": ld["speedup"],
+        "long_decode.speedup_vs_eager": ld["speedup"],
     }
     store = RunStore(REPO_ROOT / "benchmarks" / "runs")
     record = store.record(

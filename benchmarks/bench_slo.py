@@ -71,7 +71,7 @@ def _engine() -> ContinuousBatchScheduler:
     backend = CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH)
     return ContinuousBatchScheduler(backend, max_batch=MAX_BATCH,
                                     kv_token_budget=KV_BUDGET,
-                                    fast_forward="multi")
+                                    fast_forward=True)
 
 
 def _trace(rate: float) -> list:

@@ -4,10 +4,9 @@ A :class:`FaultSchedule` is a seeded, immutable timeline of replica
 faults — crash, hang, slowdown, and interconnect degradation — pinned
 to *simulated* timestamps.  Determinism is the whole design: the same
 seed replays the same faults against the same trace and produces a
-bit-identical cluster report, across every scheduler fast-forward tier
-(the engine cuts windows at fault boundaries; see the ``"fault"``
-window break reason), so a chaos run is as diffable and regression-
-testable as a healthy one.
+bit-identical cluster report with scheduler fast-forward on or off
+(the engine ends fast-forward windows at fault boundaries), so a
+chaos run is as diffable and regression-testable as a healthy one.
 
 The schedule compiles per replica into a :class:`ReplicaFaultPlan` of
 scheduler-facing actions:

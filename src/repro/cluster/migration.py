@@ -10,7 +10,7 @@ and re-admit with a prefill that *skips* the transferred positions
 (the ``start=`` prefix-skip path), so a migrated request resumes with
 its context intact and zero recompute.  The cost is a pure function of
 the checkpoint's byte size, which keeps the whole migration timeline
-deterministic across scheduler fast-forward tiers.
+deterministic with scheduler fast-forward on or off.
 
 :class:`HedgePolicy` is the classic tail-tolerance mechanism measured
 against the retry-only baseline: a request still waiting for its first

@@ -216,6 +216,9 @@ def reports_identical(a, b):
         assert ra.ttft_s == rb.ttft_s
         assert ra.e2e_s == rb.e2e_s
         assert ra.finish_reason == rb.finish_reason
+    for p in (50, 90, 99):
+        assert a.latency_percentile_s(p) == b.latency_percentile_s(p)
+        assert a.ttft_percentile_s(p) == b.ttft_percentile_s(p)
 
 
 class TestFastForwardEquivalence:

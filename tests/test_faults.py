@@ -27,11 +27,12 @@ from repro.config import TINY_MODEL
 from repro.engine import FinishReason, TenantSpec, synthetic_trace
 from repro.errors import SimulationError
 from test_telemetry_equivalence import (
+    assert_percentiles_identical,
     assert_reports_identical,
     make_engine,
 )
 
-FF_TIERS = ("multi", "single", False)
+FF_TIERS = (True, False)
 
 FG = TenantSpec("fg", "interactive")
 BULK = TenantSpec("bulk", "batch")
@@ -146,15 +147,13 @@ class TestEngineFaults:
         sched = FaultSchedule.single_crash(
             0, 0.3 * span_s(), 0.25 * span_s(), warmup_s=0.1 * span_s())
         plan = sched.plan_for(0)
-        eng_m, rep_m = run_with_plan("multi", plan)
-        eng_s, rep_s = run_with_plan("single", plan)
+        eng_m, rep_m = run_with_plan(True, plan)
         eng_e, rep_e = run_with_plan(False, plan)
         assert eng_m.killed, "crash must hit in-flight work"
-        assert eng_m.killed == eng_s.killed == eng_e.killed
-        assert eng_m.fault_stats() == eng_s.fault_stats() \
-            == eng_e.fault_stats()
-        assert_reports_identical(rep_m, rep_s)
+        assert eng_m.killed == eng_e.killed
+        assert eng_m.fault_stats() == eng_e.fault_stats()
         assert_reports_identical(rep_m, rep_e)
+        assert_percentiles_identical(rep_m, rep_e)
         # Killed requests do not retire: the report only holds the
         # survivors, and every kill is attributed a phase.
         killed_ids = {k.request.request_id for k in eng_m.killed}
@@ -169,11 +168,11 @@ class TestEngineFaults:
                   FaultEvent("slowdown", 0, 0.5 * span_s(),
                              0.3 * span_s(), factor=3.0)]
         plan = FaultSchedule(events).plan_for(0)
-        _, rep_m = run_with_plan("multi", plan)
-        _, rep_s = run_with_plan("single", plan)
-        _, rep_e = run_with_plan(False, plan)
-        assert_reports_identical(rep_m, rep_s)
+        eng_m, rep_m = run_with_plan(True, plan)
+        eng_e, rep_e = run_with_plan(False, plan)
+        assert eng_m.fault_stats() == eng_e.fault_stats()
         assert_reports_identical(rep_m, rep_e)
+        assert_percentiles_identical(rep_m, rep_e)
 
     def test_slowdown_extends_compute_bound_run(self):
         base = make_engine("cycle", "slotted")
@@ -181,36 +180,41 @@ class TestEngineFaults:
         plan = FaultSchedule([FaultEvent(
             "slowdown", 0, 0.0, healthy.total_time_s * 10,
             factor=2.0)]).plan_for(0)
-        _, slowed = run_with_plan("multi", plan, rate=1e9)
+        _, slowed = run_with_plan(True, plan, rate=1e9)
         assert slowed.total_time_s > healthy.total_time_s
 
     def test_fault_window_break_reason(self):
         """A fault boundary cuts fast-forward windows; the multi-step
         predictor *plans* its chains to end exactly there (the boundary
-        is known in advance), so only the single-window tier records
-        the cut as a "fault" break."""
+        is known in advance), so the cut is never recorded as a
+        "fault" break — and the run stays bit-identical to eager."""
         chaos_trace = synthetic_trace(
             TINY_MODEL, n_requests=4, arrival_rate_rps=1e9,
             prompt_len=(3, 8), decode_len=(64, 128), seed=0)
         plan = FaultSchedule([FaultEvent(
             "slowdown", 0, 0.0005, 0.001, factor=2.0)]).plan_for(0)
-        eng = make_engine("cycle", "slotted", ff="multi")
+        eng = make_engine("cycle", "slotted", ff=True)
         eng.fault_plan = plan
         rep = eng.run(chaos_trace, telemetry="full")
         assert not eng.killed
         assert len(rep.results) == 4
-        assert rep.window_stats["breaks"].get("fault", 0) == 0
-        eng_s = make_engine("cycle", "slotted", ff="single")
-        eng_s.fault_plan = plan
-        rep_s = eng_s.run(chaos_trace, telemetry="full")
-        assert rep_s.window_stats["breaks"]["fault"] > 0
-        assert_reports_identical(rep, rep_s)
+        stats = rep.window_stats
+        assert stats["n_windows"] == 3
+        assert stats["n_segments"] == 6
+        assert stats["folded_retirements"] == 4
+        assert sum(stats["breaks"].values()) == 0
+        eng_e = make_engine("cycle", "slotted", ff=False)
+        eng_e.fault_plan = plan
+        rep_e = eng_e.run(chaos_trace, telemetry="full")
+        assert eng_e.fault_stats() == eng.fault_stats()
+        assert_reports_identical(rep, rep_e)
+        assert_percentiles_identical(rep, rep_e)
 
     def test_fault_boundary_folding_shrinks_break_histogram(self):
-        """Satellite metric of the event-horizon fold: on a chaotic
-        trace the multi tier's total unplanned-break count is strictly
-        below the single tier's, because every fault-boundary cut that
-        the single tier logs is a planned chain end for the predictor."""
+        """Event-horizon fold on a chaotic trace: every fault-boundary
+        cut is a planned chain end for the predictor, so the only
+        unplanned breaks are the two admissions, and the run stays
+        bit-identical to eager."""
         chaos_trace = synthetic_trace(
             TINY_MODEL, n_requests=6, arrival_rate_rps=1e9,
             prompt_len=(3, 8), decode_len=(64, 128), seed=1)
@@ -220,18 +224,21 @@ class TestEngineFaults:
                              factor=1.5),
                   FaultEvent("hang", 0, 0.003, 0.0005)]
         plan = FaultSchedule(events).plan_for(0)
-        reps = {}
-        for tier in ("multi", "single"):
-            eng = make_engine("cycle", "slotted", ff=tier)
-            eng.fault_plan = plan
-            reps[tier] = eng.run(chaos_trace, telemetry="full")
-        rep_m, rep_s = reps["multi"], reps["single"]
-        assert_reports_identical(rep_m, rep_s)
-        breaks_m = rep_m.window_stats["breaks"]
-        breaks_s = rep_s.window_stats["breaks"]
-        assert breaks_s.get("fault", 0) > 0
-        assert breaks_m.get("fault", 0) == 0
-        assert sum(breaks_m.values()) < sum(breaks_s.values())
+        engines, reps = {}, {}
+        for ff in FF_TIERS:
+            engines[ff] = make_engine("cycle", "slotted", ff=ff)
+            engines[ff].fault_plan = plan
+            reps[ff] = engines[ff].run(chaos_trace, telemetry="full")
+        rep_m, rep_e = reps[True], reps[False]
+        assert engines[True].fault_stats() == engines[False].fault_stats()
+        assert_reports_identical(rep_m, rep_e)
+        assert_percentiles_identical(rep_m, rep_e)
+        stats = rep_m.window_stats
+        assert stats["n_windows"] == 7
+        assert stats["n_segments"] == 8
+        assert stats["folded_retirements"] == 5
+        assert stats["breaks"]["admission"] == 2
+        assert sum(stats["breaks"].values()) == 2
 
     def test_fault_plan_is_inert_between_runs(self):
         """Clearing ``fault_plan`` restores healthy behavior exactly."""
@@ -250,7 +257,7 @@ class TestEngineFaults:
 # Router-level resilience: retry, health routing, degraded admission
 # ---------------------------------------------------------------------
 
-def cluster(ff="multi", n=3, faults=None, retry=None, degraded=None,
+def cluster(ff=True, n=3, faults=None, retry=None, degraded=None,
             policy="round_robin"):
     engines = [make_engine("cycle", "slotted", ff=ff) for _ in range(n)]
     return ReplicaRouter(engines, policy=policy, faults=faults,
@@ -289,12 +296,12 @@ class TestRouterResilience:
         assert FinishReason.FAILED not in reasons
 
     def test_resilience_is_tier_identical(self):
-        reports = [cluster(ff=ff, faults=SATURATED_CRASH)
-                   .run(saturated_trace(), telemetry="full")
-                   for ff in FF_TIERS]
-        for other in reports[1:]:
-            assert reports[0].resilience == other.resilience
-            assert_reports_identical(reports[0], other)
+        multi, eager = [cluster(ff=ff, faults=SATURATED_CRASH)
+                        .run(saturated_trace(), telemetry="full")
+                        for ff in FF_TIERS]
+        assert multi.resilience == eager.resilience
+        assert_reports_identical(multi, eager)
+        assert_percentiles_identical(multi, eager)
 
     def test_same_seed_replay_is_bit_identical(self):
         faults = FaultSchedule.generate(3, horizon_s=span_s(48),

@@ -30,11 +30,12 @@ from repro.config import TINY_MODEL
 from repro.engine import FinishReason, TenantSpec, synthetic_trace
 from repro.errors import SimulationError
 from test_telemetry_equivalence import (
+    assert_percentiles_identical,
     assert_reports_identical,
     make_engine,
 )
 
-FF_TIERS = ("multi", "single", False)
+FF_TIERS = (True, False)
 
 
 def trace(n=32, rate=1e9, seed=0, decode=(64, 128), mix=None):
@@ -44,7 +45,7 @@ def trace(n=32, rate=1e9, seed=0, decode=(64, 128), mix=None):
                            tenant_mix=mix)
 
 
-def cluster(ff="multi", n=3, kv="slotted", **kwargs):
+def cluster(ff=True, n=3, kv="slotted", **kwargs):
     engines = [make_engine("cycle", kv, ff=ff) for _ in range(n)]
     return ReplicaRouter(engines, **kwargs)
 
@@ -203,18 +204,18 @@ class TestDrainMigration:
         assert len(ids) == len(set(ids)) == 32
 
     def test_drain_is_tier_identical(self):
-        reports = [cluster(ff=ff, faults=DRAIN)
-                   .run(trace(), telemetry="full") for ff in FF_TIERS]
-        for other in reports[1:]:
-            assert reports[0].resilience == other.resilience
-            assert_reports_identical(reports[0], other)
+        multi, eager = [cluster(ff=ff, faults=DRAIN)
+                        .run(trace(), telemetry="full") for ff in FF_TIERS]
+        assert multi.resilience == eager.resilience
+        assert_reports_identical(multi, eager)
+        assert_percentiles_identical(multi, eager)
 
     def test_drain_is_tier_identical_paged(self):
-        reports = [cluster(ff=ff, kv="paged", faults=DRAIN)
-                   .run(trace(), telemetry="full") for ff in FF_TIERS]
-        for other in reports[1:]:
-            assert reports[0].resilience == other.resilience
-            assert_reports_identical(reports[0], other)
+        multi, eager = [cluster(ff=ff, kv="paged", faults=DRAIN)
+                        .run(trace(), telemetry="full") for ff in FF_TIERS]
+        assert multi.resilience == eager.resilience
+        assert_reports_identical(multi, eager)
+        assert_percentiles_identical(multi, eager)
 
     def test_migrated_tokens_match_fault_free_run(self):
         """Migration changes *where* a request decodes, never *what*
@@ -263,15 +264,14 @@ class TestDrainMigration:
         assert any(router.assignments[r.request_id] == 1 for r in late)
 
     def test_extract_state_requires_running_member(self):
-        engine = make_engine("cycle", "slotted", ff="multi")
+        engine = make_engine("cycle", "slotted")
         with pytest.raises(SimulationError, match="not running"):
             engine.extract_state(123)
 
     def test_migration_instants_in_flight_recorder(self):
         from repro.obs import FlightRecorder
 
-        engines = [make_engine("cycle", "slotted", ff="multi")
-                   for _ in range(3)]
+        engines = [make_engine("cycle", "slotted") for _ in range(3)]
         for e in engines:
             e.flight = FlightRecorder()
         router = ReplicaRouter(engines, faults=DRAIN)
@@ -290,15 +290,15 @@ class TestDrainMigration:
             [FaultEvent("drain", 0, 0.0005, 0.0005),
              FaultEvent("drain", 1, 0.0005, 0.0005)],
             topology=topo)
-        reports = [cluster(ff=ff, n=4, faults=sched)
-                   .run(trace(n=48), telemetry="full")
-                   for ff in FF_TIERS]
-        res = reports[0].resilience
+        multi, eager = [cluster(ff=ff, n=4, faults=sched)
+                        .run(trace(n=48), telemetry="full")
+                        for ff in FF_TIERS]
+        res = multi.resilience
         assert res["n_drains"] == 2 and res["n_lost"] == 0
         assert res["n_migrated"] > 0
-        for other in reports[1:]:
-            assert res == other.resilience
-            assert_reports_identical(reports[0], other)
+        assert res == eager.resilience
+        assert_reports_identical(multi, eager)
+        assert_percentiles_identical(multi, eager)
 
 
 # ---------------------------------------------------------------------

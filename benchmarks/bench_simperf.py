@@ -28,8 +28,10 @@ kept in-tree for exactly this purpose (and for the bit-exactness tests):
   lands.  Fast-forward folds every block allocation and retirement
   into segments of at most one window per burst, so the window count
   is O(admissions) and the sweep runs several times faster than eager
-  with bit-identical reports.  The section records the commit, core
-  count, and Python version it was measured with.
+  with bit-identical reports.
+
+Every section records the commit, core count, and Python version it was
+measured with.
 
 Results go to ``BENCH_simperf.json`` at the repo root (machine-readable
 trajectory for later PRs to diff) and ``benchmarks/results/simperf.txt``.
@@ -85,6 +87,27 @@ SWEEP_SCALE_MODE = os.environ.get("SIMPERF_SWEEP", "full")
 RECORD: dict = {"schema": "simperf-v5", "sections": {}}
 
 
+def _provenance() -> dict:
+    """Where a section was measured: commit (``-dirty`` when the tree
+    has uncommitted changes), core count, and Python version."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, timeout=5,
+                             cwd=REPO_ROOT)
+        commit = out.stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {"commit": commit, "nproc": os.cpu_count(),
+            "python": platform.python_version()}
+
+
+def _record_section(name: str, section: dict) -> None:
+    """Store a measured section with the provenance it was measured
+    under."""
+    section["provenance"] = _provenance()
+    RECORD["sections"][name] = section
+
+
 def _model(config=SMALL_MODEL) -> QuantizedModel:
     return QuantizedModel(quantize_model(random_weights(config, seed=7),
                                          QUANT))
@@ -130,8 +153,8 @@ def bench_functional_decode(save_result):
                      "baseline_ms_per_step": round(baseline_ms, 2),
                      "optimized_ms_per_step": round(optimized_ms, 2),
                      "speedup": round(baseline_ms / optimized_ms, 2)})
-    RECORD["sections"]["functional_decode"] = {
-        "model": model.config.name, "rows": rows}
+    _record_section("functional_decode",
+                    {"model": model.config.name, "rows": rows})
     # Smoke budget: the batched path must stay fast and clearly ahead.
     headline = rows[-1]
     assert headline["optimized_ms_per_step"] < 500
@@ -160,7 +183,7 @@ def bench_functional_prefill(save_result):
                "baseline_ms": round(baseline_ms, 1),
                "optimized_ms": round(optimized_ms, 1),
                "speedup": round(baseline_ms / optimized_ms, 2)}
-    RECORD["sections"]["functional_prefill"] = section
+    _record_section("functional_prefill", section)
     assert section["speedup"] >= 2.0
     save_result("simperf_prefill", json.dumps(section, indent=2))
 
@@ -198,8 +221,8 @@ def bench_timing_backend_sweeps(save_result):
             "optimized_wall_s": optimized["wall_s"],
             "speedup": round(baseline["wall_s"] / optimized["wall_s"], 1),
         }
-    RECORD["sections"]["timing_sweeps"] = {"model": TINY_MODEL.name,
-                                           "rows": rows}
+    _record_section("timing_sweeps", {"model": TINY_MODEL.name,
+                                      "rows": rows})
     # Smoke budgets: the optimized 1k-request sweep must stay cheap and
     # the cycle-model path decisively faster than the full builders.
     assert rows["cycle"]["optimized_wall_s"] < 20.0
@@ -380,7 +403,7 @@ def bench_sweep_scale(save_result):
         "streamed": streamed,
         "streamed_heap": streamed_heap,
     }
-    RECORD["sections"]["sweep_scale"] = section
+    _record_section("sweep_scale", section)
 
     # CI floors — wall-clock, speedup, and memory.  Floors sit well
     # under the recorded values to absorb shared-runner noise; the
@@ -461,7 +484,7 @@ def bench_windows_scale(save_result):
         "sketch": sketch,
         "windows_rss_ratio": rss_ratio,
     }
-    RECORD["sections"]["windows_scale"] = section
+    _record_section("windows_scale", section)
 
     # CI floors.  The RSS ratio is the PR 8 acceptance bar; wall floors
     # sit well over the recorded values for shared-runner noise.
@@ -510,20 +533,6 @@ def _long_decode_run(trace, fast_forward: bool) -> tuple[dict, object]:
             "window_stats": report.window_stats}, report
 
 
-def _provenance() -> dict:
-    """Where a section was measured: commit (``-dirty`` when the tree
-    has uncommitted changes), core count, and Python version."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5,
-                             cwd=REPO_ROOT)
-        commit = out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        commit = None
-    return {"commit": commit, "nproc": os.cpu_count(),
-            "python": platform.python_version()}
-
-
 def bench_long_decode(save_result):
     """Event-horizon fast-forward vs the eager step loop on a
     long-decode paged-KV sweep (100k requests; smoke scales down)."""
@@ -561,9 +570,8 @@ def bench_long_decode(save_result):
         "multi_breaks": {k: v for k, v
                          in multi["window_stats"]["breaks"].items()
                          if v},
-        "provenance": _provenance(),
     }
-    RECORD["sections"]["long_decode"] = section
+    _record_section("long_decode", section)
 
     # CI floors.  Fast-forward folds every block frontier and
     # retirement horizon, leaving at most one window per burst.

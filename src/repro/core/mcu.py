@@ -50,6 +50,12 @@ class Mcu:
         self.ddr_params = ddr_params if ddr_params is not None \
             else DdrTimingParams()
         self.bytes_moved = 0.0
+        #: ``stream_transfer`` reports by ``(n_bytes, contiguous,
+        #: is_write, burst_bytes)``: the report is a pure function of
+        #: that key and the AXI/DDR parameters (frozen dataclasses, fixed
+        #: here), and a decode schedule asks for the same weight-slice
+        #: sizes again and again.
+        self._stream_memo: dict[tuple, TransferReport] = {}
 
     def _cycles_from_ns(self, ns: float) -> float:
         return ns * 1e-9 * self.axi.freq_hz
@@ -62,7 +68,20 @@ class Mcu:
 
         ``contiguous=False`` models a stream whose bursts land at
         scattered addresses (each burst pays the row-miss latency).
+        Memoized: a repeated transfer skips the burst simulation, but
+        every call still adds its bytes to ``bytes_moved``.
         """
+        key = (n_bytes, contiguous, is_write, burst_bytes)
+        report = self._stream_memo.get(key)
+        if report is None:
+            report = self._simulate_stream(n_bytes, contiguous, is_write,
+                                           burst_bytes)
+            self._stream_memo[key] = report
+        self.bytes_moved += n_bytes
+        return report
+
+    def _simulate_stream(self, n_bytes: float, contiguous: bool,
+                         is_write: bool, burst_bytes: int) -> TransferReport:
         if n_bytes <= 0:
             raise SimulationError(f"transfer size must be positive: {n_bytes}")
         ddr = DdrModel(self.ddr_params)
@@ -74,7 +93,6 @@ class Mcu:
                                    is_write=is_write))
             address += size if contiguous else size + self.ddr_params.row_bytes
             remaining -= size
-        self.bytes_moved += n_bytes
         return TransferReport(
             n_bytes=n_bytes,
             axi_cycles=self.axi.transfer_cycles(n_bytes),
@@ -103,6 +121,7 @@ class Mcu:
     def streaming_efficiency(self) -> float:
         """DDR efficiency of an ideal maximal-burst stream — the ceiling
         the data arrangement format is designed to reach."""
-        report = self.stream_transfer(64 * DEFAULT_BURST_BYTES)
-        self.bytes_moved -= report.n_bytes  # probe, not real traffic
+        n_bytes = 64 * DEFAULT_BURST_BYTES
+        report = self.stream_transfer(n_bytes)
+        self.bytes_moved -= n_bytes  # probe, not real traffic
         return report.axi_cycles / report.ddr_cycles

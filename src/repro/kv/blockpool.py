@@ -68,6 +68,10 @@ class BlockPool:
         #: need a fresh block"), which can only change when some
         #: refcount does.
         self.mutation_epoch = 0
+        #: live blocks with a content hash and refcount 1 — the prefix
+        #: cache's evictable blocks, kept current by every refcount or
+        #: hash change so admission checks read it in O(1).
+        self.n_hashed_unshared = 0
 
     # -- capacity ----------------------------------------------------------
 
@@ -96,7 +100,10 @@ class BlockPool:
         return bid
 
     def incref(self, bid: int) -> None:
-        self._live(bid).refcount += 1
+        block = self._live(bid)
+        if block.refcount == 1 and block.content_hash is not None:
+            self.n_hashed_unshared -= 1
+        block.refcount += 1
         self.mutation_epoch += 1
 
     def decref(self, bid: int) -> None:
@@ -104,6 +111,8 @@ class BlockPool:
         block = self._live(bid)
         block.refcount -= 1
         self.mutation_epoch += 1
+        if block.content_hash is not None and block.refcount <= 1:
+            self.n_hashed_unshared += 1 if block.refcount else -1
         if block.refcount == 0:
             block.content_hash = None
             # Storage is dropped with the block: a freed block must never
@@ -122,7 +131,11 @@ class BlockPool:
         return self._live(bid).content_hash
 
     def set_content_hash(self, bid: int, value: int | None) -> None:
-        self._live(bid).content_hash = value
+        block = self._live(bid)
+        if block.refcount == 1:
+            self.n_hashed_unshared += (value is not None) \
+                - (block.content_hash is not None)
+        block.content_hash = value
 
     def copy_data(self, src_bid: int, dst_bid: int) -> None:
         """Copy-on-write support: clone ``src_bid``'s content into

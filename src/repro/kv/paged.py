@@ -405,6 +405,12 @@ class PagedKVCache:
                 raise SimulationError(
                     f"block {bid}: refcount {self.pool.refcount(bid)} != "
                     f"{expected.get(bid, 0)} references")
+        scanned = sum(1 for bid in self.prefix.entries().values()
+                      if self.pool.refcount(bid) == 1)
+        if self.prefix.n_reclaimable != scanned:
+            raise SimulationError(
+                f"reclaimable count {self.prefix.n_reclaimable} != "
+                f"{scanned} cached blocks held only by the cache")
 
     # -- internals ---------------------------------------------------------
 

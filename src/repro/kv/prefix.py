@@ -69,9 +69,13 @@ class PrefixCache:
 
     @property
     def n_reclaimable(self) -> int:
-        """Cached blocks no live sequence references (evictable)."""
-        return sum(1 for bid in self._entries.values()
-                   if self.pool.refcount(bid) == 1)
+        """Cached blocks no live sequence references (evictable).
+
+        Every hashed block is a cache entry (the cache sets the hash on
+        registration and clears it on every drop), so this is the pool's
+        O(1) count of hashed blocks with refcount 1.
+        """
+        return self.pool.n_hashed_unshared
 
     # -- lookup ------------------------------------------------------------
 
@@ -140,6 +144,7 @@ class PrefixCache:
     def clear(self) -> None:
         """Drop every cache reference (test/teardown helper)."""
         for bid in self._entries.values():
+            self.pool.set_content_hash(bid, None)
             self.pool.decref(bid)
         self._entries.clear()
 

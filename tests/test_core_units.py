@@ -170,6 +170,8 @@ class TestMcu:
 
     def test_bytes_moved_accumulates(self):
         mcu = Mcu()
-        mcu.stream_transfer(1000)
+        first = mcu.stream_transfer(1000)
         mcu.stream_transfer(2000)
-        assert mcu.bytes_moved == 3000
+        # A repeated size is a memo hit: same report, bytes still count.
+        assert mcu.stream_transfer(1000) == first
+        assert mcu.bytes_moved == 4000

@@ -188,6 +188,27 @@ class TestPrefixCacheBehaviour:
         assert kv.cached_length(again) == 8
         kv.audit()
 
+    def test_reclaimable_count_tracks_sharing_and_clear(self, kv):
+        """The O(1) reclaimable count follows every refcount change,
+        and a cleared cache leaves no hashed block behind — even one a
+        live sequence still holds."""
+        prompt = list(range(8))
+        a = kv.allocate(tokens=prompt)
+        _fill(kv, a, 8)
+        kv.commit_prefix(a, prompt)
+        assert kv.n_reclaimable_blocks == 0  # a still holds both blocks
+        b = kv.allocate(tokens=prompt + [40])
+        kv.free(a)
+        assert kv.n_reclaimable_blocks == 0  # b shares both blocks
+        kv.audit()
+        kv.prefix.clear()
+        assert kv.n_reclaimable_blocks == 0
+        kv.audit()
+        kv.free(b)
+        assert kv.n_reclaimable_blocks == 0
+        assert kv.n_free_blocks == kv.n_total_blocks
+        kv.audit()
+
 
 class TestSharedDataIntegrity:
     def test_shared_blocks_serve_identical_kv(self, kv):
